@@ -1,26 +1,19 @@
-// Ablation — parallel decomposition cost and scaling.
+// Ablation — parallel scaling of the two production axes.
 //
-// Three axes of parallelism: across fields (core/batch), within a field via
-// the legacy slab decomposition (sz/chunked), and within a field via the
-// block-parallel pipeline engine (core/pipeline) — the production path,
-// whose FPBK container also gives random-access decode. Blocking restarts
-// prediction at slab boundaries, so we also report the compression-ratio
-// cost of each slab count — the classic HPC trade of parallelism vs. ratio.
+// Within a field, the block-parallel pipeline engine (core/pipeline) runs one
+// WorkQueue task per block; its FPBK container also gives random-access
+// decode. Across fields, core/batch interleaves every field's blocks on one
+// queue. The block layout is fixed by the data, never by the worker count,
+// so every arm's output is byte-identical and the timing difference is pure
+// execution parallelism.
 #include <benchmark/benchmark.h>
-
-#include <cstdio>
 
 #include "core/batch.h"
 #include "core/pipeline.h"
 #include "data/dataset.h"
-#include "metrics/metrics.h"
-#include "sz/chunked.h"
 
 namespace core = fpsnr::core;
 namespace data = fpsnr::data;
-namespace metrics = fpsnr::metrics;
-namespace parallel = fpsnr::parallel;
-namespace sz = fpsnr::sz;
 
 namespace {
 
@@ -32,56 +25,8 @@ core::CompressResult compress_fixed_psnr(std::span<const float> values,
                                core::ControlRequest::fixed_psnr(target), opts);
 }
 
-
-void print_ratio_cost() {
-  const auto ds = data::make_hurricane({});
-  const auto& f = ds.field("U");
-  sz::Params params;
-  params.mode = sz::ErrorBoundMode::ValueRangeRelative;
-  params.bound = 1e-4;
-
-  std::printf("\n=== Chunked codec: ratio cost of slab decomposition "
-              "(Hurricane/U, eb_rel 1e-4) ===\n");
-  std::printf("%8s %14s %14s %14s\n", "slabs", "ratio", "bits/value",
-              "max|err|<=eb");
-  const double vr = metrics::value_range<float>(f.span());
-  for (std::size_t chunks : {1ul, 2ul, 4ul, 8ul, 16ul}) {
-    sz::ChunkedInfo info;
-    const auto stream =
-        sz::chunked_compress<float>(f.span(), f.dims, params, chunks, nullptr, &info);
-    const auto out = sz::chunked_decompress<float>(stream);
-    const auto rep = metrics::compare<float>(f.span(), out.values);
-    std::printf("%8zu %14.2f %14.2f %14s\n", info.chunk_count,
-                info.compression_ratio, info.bit_rate,
-                rep.max_abs_error <= 1e-4 * vr * (1 + 1e-9) ? "yes" : "NO");
-  }
-  std::printf("(prediction restarts per slab: ratio decays gently with slab "
-              "count; the error bound never moves)\n\n");
-}
-
-void BM_ChunkedCompress(benchmark::State& state) {
-  const auto ds = data::make_hurricane({});
-  const auto& f = ds.field("U");
-  sz::Params params;
-  params.mode = sz::ErrorBoundMode::ValueRangeRelative;
-  params.bound = 1e-4;
-  const auto chunks = static_cast<std::size_t>(state.range(0));
-  parallel::ThreadPool pool;
-  for (auto _ : state) {
-    auto stream =
-        sz::chunked_compress<float>(f.span(), f.dims, params, chunks, &pool);
-    benchmark::DoNotOptimize(stream.data());
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(f.bytes()));
-}
-BENCHMARK(BM_ChunkedCompress)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
-
 // The headline scaling curve: the block-parallel pipeline engine at 1..N
-// worker threads. Block layout is fixed (auto), so every thread count
-// produces byte-identical output and the timing difference is pure
-// execution parallelism.
+// worker threads (auto block layout).
 void BM_PipelineCompress(benchmark::State& state) {
   const auto ds = data::make_hurricane({});
   const auto& f = ds.field("U");
@@ -148,9 +93,4 @@ BENCHMARK(BM_BatchAcrossFields)->Arg(1)->Arg(2)->Arg(4)
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  print_ratio_cost();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
-}
+BENCHMARK_MAIN();

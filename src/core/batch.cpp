@@ -9,7 +9,6 @@
 
 #include "core/pipeline.h"
 #include "metrics/metrics.h"
-#include "parallel/shared_pool.h"
 #include "parallel/work_queue.h"
 
 namespace fpsnr::core {
@@ -198,17 +197,19 @@ BatchResult run_fixed_psnr_batch(std::span<const data::FieldView> fields,
     // O(total values) serial prefix before the first block task runs.
     std::vector<std::unique_ptr<FieldCompressor<float>>> jobs(wave_end -
                                                               wave_begin);
-    parallel::parallel_for_shared(
-        jobs.size(), options.threads, [&](std::size_t w) {
-          const std::size_t i = wave_begin + w;
-          const data::FieldView& field = fields[i];
-          jobs[w] = paths[i].empty()
-                        ? std::make_unique<FieldCompressor<float>>(
-                              field.span(), field.dims, request, copts)
-                        : std::make_unique<FieldCompressor<float>>(
-                              field.span(), field.dims, request, copts,
-                              paths[i]);
-        });
+    parallel::WorkQueue planning;
+    for (std::size_t w = 0; w < jobs.size(); ++w)
+      planning.push([&, w] {
+        const std::size_t i = wave_begin + w;
+        const data::FieldView& field = fields[i];
+        jobs[w] = paths[i].empty()
+                      ? std::make_unique<FieldCompressor<float>>(
+                            field.span(), field.dims, request, copts)
+                      : std::make_unique<FieldCompressor<float>>(
+                            field.span(), field.dims, request, copts,
+                            paths[i]);
+      });
+    planning.drain(options.threads);
     std::size_t max_blocks = 0;
     for (const auto& job : jobs)
       max_blocks = std::max(max_blocks, job->block_count());

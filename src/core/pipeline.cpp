@@ -13,7 +13,7 @@
 #include "io/archive.h"
 #include "io/streaming_archive.h"
 #include "metrics/metrics.h"
-#include "parallel/shared_pool.h"
+#include "parallel/work_queue.h"
 #include "sz/stream_format.h"
 #include "transform/fixed_rate.h"
 
@@ -48,15 +48,6 @@ double resolve_budget(const ControlRequest& request, std::span<const T> values,
     eb = std::numeric_limits<double>::min() * 1e6;
   }
   return eb;
-}
-
-/// Run fn(b) for every block, on the process-wide shared pool (the calling
-/// thread plus threads-1 shared workers) when threads > 1. No per-call
-/// pool spin-up: long-lived streaming jobs and many-small-field batches
-/// reuse the same workers.
-void for_each_block(std::size_t block_count, std::size_t threads,
-                    const std::function<void(std::size_t)>& fn) {
-  parallel::parallel_for_shared(block_count, threads, fn);
 }
 
 data::Dims dims_from_header(const io::BlockContainerHeader& h) {
@@ -737,8 +728,10 @@ CompressResult compress_blocked(std::span<const T> values,
                                 const ControlRequest& request,
                                 const CompressOptions& options) {
   FieldCompressor<T> job(values, dims, request, options);
-  for_each_block(job.block_count(), options.parallel.threads,
-                 [&](std::size_t b) { job.run_block(b); });
+  parallel::WorkQueue queue;
+  for (std::size_t b = 0; b < job.block_count(); ++b)
+    queue.push([&job, b] { job.run_block(b); });
+  queue.drain(options.parallel.threads);
   return job.finalize();
 }
 
@@ -750,8 +743,10 @@ CompressResult compress_to_file(std::span<const T> values,
                                 const std::string& path,
                                 io::StreamingStats* stats) {
   FieldCompressor<T> job(values, dims, request, options, path);
-  for_each_block(job.block_count(), options.parallel.threads,
-                 [&](std::size_t b) { job.run_block(b); });
+  parallel::WorkQueue queue;
+  for (std::size_t b = 0; b < job.block_count(); ++b)
+    queue.push([&job, b] { job.run_block(b); });
+  queue.drain(options.parallel.threads);
   return job.finalize(stats);
 }
 
@@ -773,22 +768,25 @@ sz::Decompressed<T> decompress_blocked(std::span<const std::uint8_t> stream,
   out.dims = dims;
   out.values.resize(dims.count());
   std::span<T> all(out.values);
-  for_each_block(layout.block_count, threads, [&](std::size_t b) {
-    const TileRegion region = tile_region(layout, dims, b);
-    // Incompressible blocks are store-demoted at compress time; each
-    // block's own magic says which codec wrote it.
-    const BlockCodec& c =
-        is_store_block_stream(view.blocks[b]) ? store : codec;
-    if (region_contiguous(region, dims)) {
-      c.decompress(view.blocks[b],
-                   all.subspan(region.start[0] * layout.row_stride,
-                               region.count));
-    } else {
-      std::vector<T> scratch(region.count);
-      c.decompress(view.blocks[b], std::span<T>(scratch));
-      scatter_tile(std::span<const T>(scratch), dims, region, all);
-    }
-  });
+  parallel::WorkQueue queue;
+  for (std::size_t b = 0; b < layout.block_count; ++b)
+    queue.push([&, b] {
+      const TileRegion region = tile_region(layout, dims, b);
+      // Incompressible blocks are store-demoted at compress time; each
+      // block's own magic says which codec wrote it.
+      const BlockCodec& c =
+          is_store_block_stream(view.blocks[b]) ? store : codec;
+      if (region_contiguous(region, dims)) {
+        c.decompress(view.blocks[b],
+                     all.subspan(region.start[0] * layout.row_stride,
+                                 region.count));
+      } else {
+        std::vector<T> scratch(region.count);
+        c.decompress(view.blocks[b], std::span<T>(scratch));
+        scatter_tile(std::span<const T>(scratch), dims, region, all);
+      }
+    });
+  queue.drain(threads);
   return out;
 }
 

@@ -107,9 +107,9 @@ BlockStreamInfo inspect_block_stream(std::span<const std::uint8_t> stream);
 ///   finalize  finalize() validates the budget accounting and finishes the
 ///             archive once every block has run.
 ///
-/// compress_blocked / compress_to_file are thin wrappers that run the
-/// blocks on parallel_for_shared; core/batch instead interleaves the
-/// blocks of MANY FieldCompressors onto one parallel::WorkQueue and
+/// compress_blocked / compress_to_file are thin wrappers that push one
+/// task per block onto a local parallel::WorkQueue and drain it; core/batch
+/// instead interleaves the blocks of MANY FieldCompressors onto one queue and
 /// finalizes each field as its last block completes. Because the plan and
 /// the per-block bytes depend only on the data and options, the archive is
 /// byte-identical however the blocks were scheduled.

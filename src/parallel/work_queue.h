@@ -1,13 +1,15 @@
-// Global MPMC work queue — the batch engine's task substrate.
+// MPMC work queue — the one parallel executor. Every parallel loop in the
+// library runs on it: the block pipeline pushes one task per block, the
+// batch engine plans its fields and then interleaves the blocks of *all*
+// fields in one queue, and fpsnrd schedules its requests on it.
 //
-// parallel_for_shared (shared_pool.h) parallelizes ONE indexed loop; a
-// whole-dataset batch is many loops of very different lengths (CESM-ATM:
-// 79 fields from tiny 2-D slices to huge 3-D volumes). Running them one
-// loop at a time serializes the pool behind each field's stragglers: a
-// 4-block field can keep at most 4 of 8 cores busy, and every field ends
-// with a barrier. WorkQueue instead holds the blocks of *all* fields as
-// independent tasks in one multi-producer/multi-consumer queue, so workers
-// always have somewhere to go until the entire dataset is drained.
+// Interleaving is the point for batches: a whole-dataset batch is many
+// loops of very different lengths (CESM-ATM: 79 fields from tiny 2-D
+// slices to huge 3-D volumes). Running them one loop at a time serializes
+// the workers behind each field's stragglers: a 4-block field can keep at
+// most 4 of 8 cores busy, and every field ends with a barrier. One queue
+// holding every field's blocks keeps workers busy until the whole dataset
+// is drained.
 //
 // Tasks are coarse (one pipeline block: quantize -> Huffman -> lossless,
 // typically >= tens of microseconds), so a single lock-protected deque is
@@ -16,11 +18,16 @@
 // front, so an idle worker "steals" whatever is next regardless of which
 // field produced it.
 //
-// Nesting safety mirrors parallel_for_shared: drain() always executes tasks
-// on the calling thread too, and shared-pool helpers are best-effort, so a
-// drain issued from inside a pool worker can never deadlock. Tasks may push
-// further tasks (e.g. a field's finalize step) — drain() only returns when
-// the queue is empty AND no task is still running.
+// Executors: drain(k) runs tasks on the calling thread plus at most k - 1
+// helpers borrowed from a process-wide set of hardware_concurrency threads
+// (created on first use, alive until exit — never started per drain). The
+// cap holds for tasks pushed mid-drain too: such a push offers one more
+// helper only while caller + live helpers < k. Helpers are best-effort and
+// the caller always runs tasks itself, so a drain issued from inside a task
+// of another drain can never deadlock, even when every helper thread is
+// busy. Tasks may push further tasks (e.g. a field's finalize step) —
+// drain() only returns when the queue is empty AND no task is still
+// running.
 //
 // Locality-aware placement: producers may tag tasks with a locality key
 // (TaskOptions::locality) naming the data neighborhood the task touches —
@@ -90,27 +97,27 @@ class WorkQueue {
 
   /// Run tasks until the queue is empty and every started task has
   /// returned. The calling thread always participates; up to
-  /// max_workers - 1 shared-pool helpers join best-effort (max_workers
-  /// <= 1 drains everything inline on the caller). Rethrows the first
-  /// task exception after the drain completes — remaining tasks still
-  /// run, so producers with per-task cleanup always see every task
+  /// max_workers - 1 pool helpers join best-effort, and no more than
+  /// max_workers tasks ever run at once, including tasks pushed mid-drain
+  /// (max_workers <= 1 drains everything inline on the caller). Rethrows
+  /// the first task exception after the drain completes — remaining tasks
+  /// still run, so producers with per-task cleanup always see every task
   /// either executed or still queued, never silently dropped.
   ///
   /// One drain at a time: pushes are MPMC-safe concurrently with a
   /// running drain, but overlapping drain() calls on the same queue are
-  /// not supported (the error slot and helper re-offer hook are
-  /// per-queue, so two concurrent drains would steal each other's
-  /// exceptions and helper offers). This is ENFORCED: an overlapping
-  /// drain — from another thread, or from inside a task of the running
-  /// drain — throws std::logic_error immediately instead of silently
-  /// corrupting task ownership. Drain sequentially, or use one queue per
-  /// drain site.
+  /// not supported (the error slot and helper bookkeeping are per-queue,
+  /// so two concurrent drains would steal each other's exceptions and
+  /// helpers). This is ENFORCED: an overlapping drain — from another
+  /// thread, or from inside a task of the running drain — throws
+  /// std::logic_error immediately instead of silently corrupting task
+  /// ownership. Drain sequentially, or use one queue per drain site.
   void drain(std::size_t max_workers);
 
  private:
   struct State;
-  /// Heap-shared with helper tasks: a helper may still sit in the pool
-  /// queue after drain() returns (it finds the queue empty and exits), so
+  /// Heap-shared with helpers: a helper may still sit in the pool's queue
+  /// after drain() returns (it finds the queue empty and exits), so
   /// the state must be able to outlive the WorkQueue itself.
   std::shared_ptr<State> state_;
 };

@@ -94,6 +94,15 @@ struct RawConn {
     service::wire::write_all(fd, bytes.data(), bytes.size());
   }
 
+  /// Half-close our side and read until the server closes its side. The
+  /// server bumps its disconnect counters before it closes the socket, so
+  /// after this returns they are up to date.
+  void hang_up_and_wait_for_close() {
+    ::shutdown(fd, SHUT_WR);
+    while (read_frame().has_value()) {
+    }
+  }
+
   /// Read one frame; nullopt on clean close.
   std::optional<std::pair<service::wire::FrameHeader,
                           std::vector<std::uint8_t>>>
@@ -478,6 +487,7 @@ TEST(Service, TruncatedHeaderThenDisconnectDoesNotKillTheServer) {
   {
     RawConn conn(ts.path);
     conn.send_bytes({0x46, 0x50, 0x53});  // 3 of 16 header bytes, then close
+    conn.hang_up_and_wait_for_close();
   }
   service::Client client({ts.path});
   client.ping();
@@ -494,6 +504,7 @@ TEST(Service, MidPayloadDisconnectDoesNotKillTheServer) {
         service::kFrameMagic,
         static_cast<std::uint16_t>(service::FrameType::Compress), 4096));
     conn.send_bytes(std::vector<std::uint8_t>(64, 0x7f));  // 64 of 4096
+    conn.hang_up_and_wait_for_close();
   }
   service::Client client({ts.path});
   client.ping();

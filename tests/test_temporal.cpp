@@ -83,6 +83,24 @@ TEST(Temporal, ChainDecodesBitExactlyAndMeetsTargetEveryFrame) {
   EXPECT_EQ(decoder.frames(), series.size());
 }
 
+TEST(Temporal, RecordedPsnrIsThatOfTheDecodedFrame) {
+  // A delta frame is coded as a composite (x - ref, rounded to f32), so
+  // the pipeline's own PSNR figure is the composite's. The record must
+  // report what a decoder reconstructs, measured against the original.
+  const auto series = slow_series(12);
+  TimeSeriesOptions opts;
+  opts.keyframe_interval = 6;
+  TimeSeriesSession session(FixedPsnr{80.0}, opts);
+  TimeSeriesDecoder decoder;
+  for (std::size_t t = 0; t < series.size(); ++t) {
+    const SnapshotRecord rec = session.push(to_public(series[t]));
+    const Field frame = decoder.feed(rec.report.archive);
+    EXPECT_NEAR(rec.report.achieved_psnr_db, psnr_vs(series[t].values, frame),
+                1e-9)
+        << "frame " << t;
+  }
+}
+
 TEST(Temporal, DecodeRangeReplaysFromNearestKeyframe) {
   const auto series = slow_series(8);
   TimeSeriesOptions opts;

@@ -3,16 +3,71 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <future>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
-#include "parallel/shared_pool.h"
-
 namespace parallel = fpsnr::parallel;
+
+namespace {
+
+/// The documented size of the helper pool drains borrow from.
+std::size_t pool_threads() {
+  return std::max<std::size_t>(1, std::thread::hardware_concurrency());
+}
+
+/// Records the largest number of tasks seen running at once.
+struct ConcurrencyProbe {
+  std::atomic<int> active{0}, peak{0};
+
+  void run_one() {
+    const int now = active.fetch_add(1) + 1;
+    int seen = peak.load();
+    while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    active.fetch_sub(1);
+  }
+};
+
+/// Occupies `executors` workers with tasks that block until release(): a
+/// side thread drains them with drain(executors), so its pool helpers hold
+/// executors - 1 helper threads. The constructor returns once every task
+/// has started, i.e. once those helper threads are really taken; the
+/// destructor waits for the side drain to finish.
+class Occupier {
+ public:
+  explicit Occupier(std::size_t executors) {
+    for (std::size_t i = 0; i < executors; ++i)
+      queue_.push([this] {
+        started_.fetch_add(1);
+        while (!released_.load())
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      });
+    side_ = std::thread([this, executors] { queue_.drain(executors); });
+    while (started_.load() < executors)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ~Occupier() {
+    release();
+    side_.join();
+  }
+  Occupier(const Occupier&) = delete;
+  Occupier& operator=(const Occupier&) = delete;
+
+  void release() { released_.store(true); }
+
+ private:
+  parallel::WorkQueue queue_;
+  std::atomic<std::size_t> started_{0};
+  std::atomic<bool> released_{false};
+  std::thread side_;
+};
+
+}  // namespace
 
 TEST(WorkQueue, RunsEveryTask) {
   parallel::WorkQueue queue;
@@ -92,41 +147,71 @@ TEST(WorkQueue, ConcurrentProducers) {
   EXPECT_EQ(ran.load(), 1000);
 }
 
+TEST(WorkQueue, ConcurrencyStaysWithinRequestedCap) {
+  ConcurrencyProbe probe;
+  parallel::WorkQueue queue;
+  for (int i = 0; i < 64; ++i) queue.push([&probe] { probe.run_one(); });
+  queue.drain(3);
+  EXPECT_LE(probe.peak.load(), 3);
+  EXPECT_GE(probe.peak.load(), 1);
+}
+
+TEST(WorkQueue, CapHoldsForTasksPushedMidDrain) {
+  // Every mid-drain push may offer a helper, but only while caller + live
+  // helpers < max_workers: follow-up bursts must not grow the crew past
+  // the cap (batch verify decodes; fpsnrd requests at threads < nproc).
+  for (int trial = 0; trial < 20; ++trial) {
+    ConcurrencyProbe probe;
+    parallel::WorkQueue queue;
+    for (int i = 0; i < 8; ++i)
+      queue.push([&queue, &probe] {
+        probe.run_one();
+        for (int j = 0; j < 4; ++j) queue.push([&probe] { probe.run_one(); });
+      });
+    queue.drain(2);
+    ASSERT_LE(probe.peak.load(), 2) << "trial " << trial;
+  }
+}
+
 TEST(WorkQueue, NestedDrainInsidePoolWorkerDoesNotDeadlock) {
-  // A drain issued from inside a shared-pool worker must complete even
-  // when every pool worker is busy: the caller always participates.
+  // A drain issued from inside a helper thread must complete even when no
+  // other helper thread is free: the caller always participates. All but
+  // one helper thread are held by a blocking side drain; the two outer
+  // tasks wait for each other, so one of them runs on that last helper
+  // thread, and both then drain an inner queue whose own helpers can
+  // never be scheduled.
+  Occupier occupier(pool_threads());
   parallel::WorkQueue outer;
-  std::atomic<int> ran{0};
-  const std::size_t lanes = parallel::shared_pool().thread_count() + 2;
-  for (std::size_t i = 0; i < lanes; ++i)
-    outer.push([&ran] {
+  std::atomic<int> ran{0}, arrived{0}, off_caller{0};
+  const auto caller = std::this_thread::get_id();
+  for (int i = 0; i < 2; ++i)
+    outer.push([&] {
+      if (std::this_thread::get_id() != caller) off_caller.fetch_add(1);
+      arrived.fetch_add(1);
+      while (arrived.load() < 2)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
       parallel::WorkQueue inner;
       for (int j = 0; j < 20; ++j)
         inner.push([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
       inner.drain(4);
     });
-  outer.drain(lanes);
-  EXPECT_EQ(ran.load(), static_cast<int>(lanes) * 20);
+  outer.drain(2);
+  occupier.release();
+  EXPECT_EQ(off_caller.load(), 1);
+  EXPECT_EQ(ran.load(), 40);
 }
 
 TEST(WorkQueue, StaleHelpersCannotJoinALaterInlineDrain) {
-  // drain(8)'s best-effort helpers may still sit in the shared pool's
-  // queue after the drain returns. Pin the pool with blockers so that is
-  // guaranteed, then release the blockers DURING a later drain(1): the
-  // stale helpers wake mid-drain and must bow out (epoch check) instead
+  // drain(8)'s best-effort helpers may still sit in the pool's queue after
+  // the drain returns. Hold every helper thread with a blocking side drain
+  // so that is guaranteed, then release the side drain DURING a later
+  // drain(1): the stale helpers wake mid-drain and must bow out instead
   // of running tasks — drain(1) promises strictly-inline execution.
-  std::atomic<bool> release{false};
-  std::vector<std::future<void>> blockers;
-  const std::size_t pool_size = parallel::shared_pool().thread_count();
-  for (std::size_t i = 0; i < pool_size; ++i)
-    blockers.push_back(parallel::shared_pool().submit([&release] {
-      while (!release.load())
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }));
+  Occupier occupier(pool_threads() + 1);
 
   parallel::WorkQueue queue;
-  queue.push([] {});
-  queue.drain(8);  // helpers enqueue behind the blockers and go stale
+  for (int i = 0; i < 8; ++i) queue.push([] {});
+  queue.drain(8);  // its 7 helpers queue behind the occupier and go stale
 
   const auto caller = std::this_thread::get_id();
   std::atomic<int> off_thread{0};
@@ -136,9 +221,8 @@ TEST(WorkQueue, StaleHelpersCannotJoinALaterInlineDrain) {
         off_thread.fetch_add(1, std::memory_order_relaxed);
       std::this_thread::sleep_for(std::chrono::microseconds(20));
     });
-  release.store(true);  // stale helpers wake while drain(1) is running
-  queue.drain(1);
-  for (auto& b : blockers) b.get();
+  occupier.release();
+  queue.drain(1);  // stale helpers wake while this drain is running
   EXPECT_EQ(off_thread.load(), 0);
 }
 
